@@ -19,6 +19,7 @@ attempts suffice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -118,6 +119,18 @@ class RSAKey:
             )
 
 
+@functools.lru_cache(maxsize=4)
+def victim_key(bits: int, seed: int, /) -> RSAKey:
+    """``RSAKey.generate(bits, seed=seed)``, generated once per process.
+
+    Keys are pure functions of ``(bits, seed)``, so jobs that rebuild
+    their key from a spec share one object.  The bound is small: a
+    process works on one explore plan's key at a time, plus the
+    prevention matrix's.
+    """
+    return RSAKey.generate(bits, seed=seed)
+
+
 class RSACRTSigner:
     """Signs with the CRT optimisation on a faultable ALU.
 
@@ -134,7 +147,11 @@ class RSACRTSigner:
         m = message % key.n
         s_p = alu.modexp(m % key.p, key.dp, key.p)
         s_q = alu.modexp(m % key.q, key.dq, key.q)
-        # Garner recombination: s = s_q + q * (qinv * (s_p - s_q) mod p)
+        return self.recombine(alu, s_p, s_q)
+
+    def recombine(self, alu: FaultableALU, s_p: int, s_q: int) -> int:
+        """Garner recombination: ``s = s_q + q * (qinv * (s_p - s_q) mod p)``."""
+        key = self.key
         h = alu.modmul(key.qinv, (s_p - s_q) % key.p, key.p)
         return (s_q + alu.bigmul(key.q, h)) % key.n
 

@@ -328,13 +328,13 @@ class AttackCampaignJob(JobSpec):
             PlundervoltAttack,
             PlundervoltConfig,
             RSACRTSigner,
-            RSAKey,
             V0ltpwnAttack,
             V0ltpwnConfig,
             VectorChecksumPayload,
             VoltJockeyAttack,
             VoltJockeyConfig,
         )
+        from repro.attacks.rsa_crt import victim_key
         from repro.sgx import EnclaveHost
 
         with telemetry.spans.phase("build-machine") as build_phase:
@@ -363,7 +363,7 @@ class AttackCampaignJob(JobSpec):
             attack = PlundervoltAttack(
                 machine,
                 host.create_enclave("rsa"),
-                RSACRTSigner(RSAKey.generate(512, seed=self.rsa_key_seed)),
+                RSACRTSigner(victim_key(512, self.rsa_key_seed)),
                 message=0xDEADBEEF,
                 config=PlundervoltConfig(
                     frequency_ghz=base, max_signing_attempts=self.max_signing_attempts
@@ -602,13 +602,16 @@ class ExplorePointJob(JobSpec):
 class ExploreInjectionJob(JobSpec):
     """A shard of single-fault replays of the RSA-CRT victim.
 
-    Pure arithmetic: the key and golden signature regenerate
-    deterministically from the spec (the FuzzJob pattern — the spec
-    stays tiny, the fingerprint still covers the whole replay), each
-    (op_index, model) representative replays the signature with exactly
-    that operation corrupted, and the verdict is one of ``masked`` (the
-    signature survived), ``exploitable`` (Bellcore factoring recovered
-    the key's primes) or ``corrupted`` (wrong but unexploitable).
+    Pure arithmetic: the key and golden trace follow deterministically
+    from the spec (the FuzzJob pattern — the spec stays tiny, the
+    fingerprint still covers the whole replay) and are regenerated once
+    per map in each process, then shared by every shard of that map it
+    runs.  Each (op_index, model) representative replays the signature
+    with exactly that operation corrupted — resuming from the golden
+    trace, so only the faulted suffix is recomputed — and the verdict is
+    one of ``masked`` (the signature survived), ``exploitable``
+    (Bellcore factoring recovered the key's primes) or ``corrupted``
+    (wrong but unexploitable).
     """
 
     kind: ClassVar[str] = "explore-injection"
@@ -625,12 +628,12 @@ class ExploreInjectionJob(JobSpec):
         return ("explore", "inject", f"reps@{first[0]}/{first[1]}")
 
     def run(self, telemetry: Telemetry) -> List[Dict[str, Any]]:
-        from repro.attacks.rsa_crt import RSAKey, bellcore_extract
+        from repro.attacks.rsa_crt import bellcore_extract, victim_key
         from repro.explore.faultspace import corruptor
-        from repro.explore.victim import replay_with_fault, trace_victim
+        from repro.explore.victim import replay_with_fault, victim_trace
 
-        key = RSAKey.generate(self.key_bits, seed=self.key_seed)
-        trace = trace_victim(key, self.message)
+        key = victim_key(self.key_bits, self.key_seed)
+        trace = victim_trace(key, self.message)
         verdicts: List[Dict[str, Any]] = []
         for op_index, model in self.reps:
             signature = replay_with_fault(

@@ -25,10 +25,10 @@ from typing import List, Optional, Tuple
 
 from repro.attacks import (
     AttackOutcome,
-    RSAKey,
     VoltJockeyAttack,
     VoltJockeyConfig,
 )
+from repro.attacks.rsa_crt import victim_key
 from repro.bench.runner import OverheadReport
 from repro.core import (
     CharacterizationResult,
@@ -58,8 +58,9 @@ PREVENTION_ATTACKS = ("imul", "plundervolt", "v0ltpwn")
 #: Victim secrets targeted by the prevention campaigns.  The values match
 #: the :class:`~repro.engine.AttackCampaignJob` defaults (``rsa_key_seed``
 #: and ``aes_key_hex``), so the recovered secrets in the matrix can be
-#: checked against them.
-PREVENTION_RSA_KEY = RSAKey.generate(512, seed=42)
+#: checked against them.  The key comes from the same per-process memo
+#: the Plundervolt cells take theirs from.
+PREVENTION_RSA_KEY = victim_key(512, 42)
 PREVENTION_AES_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 

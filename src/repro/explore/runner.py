@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Tuple
 
+from repro.attacks.rsa_crt import victim_key
 from repro.engine.jobs import ExploreInjectionJob, ExplorePointJob
 from repro.errors import ConfigurationError
 from repro.explore.emap import build_map
 from repro.explore.plan import ExplorePlan, enumerate_injections, prune_points
-from repro.explore.victim import trace_victim
+from repro.explore.victim import clear_victim_memo, victim_trace
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +75,10 @@ def run_explore(
 
         session = get_session()
 
-    from repro.attacks.rsa_crt import RSAKey
-
-    key = RSAKey.generate(plan.key_bits, seed=plan.key_seed)
-    trace = trace_victim(key, plan.message)
+    # The key and trace memos last one map: this process regenerates
+    # both once here, and every shard it runs hits the memo after that.
+    clear_victim_memo()
+    trace = victim_trace(victim_key(plan.key_bits, plan.key_seed), plan.message)
     instructions = tuple(sorted({op.instruction for op in trace.ops}))
 
     injection_plan = enumerate_injections(trace, plan.fault_models)

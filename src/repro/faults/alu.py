@@ -16,7 +16,7 @@ multiplication is ~64 limb products, any one of which may flip a bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -66,16 +66,58 @@ class BigIntALU:
             raise ConfigurationError("modulus must be positive")
         if exponent < 0:
             raise ConfigurationError("exponent must be non-negative")
-        result = 1 % modulus
-        acc = base % modulus
-        e = exponent
+        return self.modexp_from(1 % modulus, base % modulus, exponent, modulus)
+
+    def modexp_from(self, result: int, acc: int, e: int, modulus: int) -> int:
+        """Finish a square-and-multiply exponentiation from state ``(result, acc, e)``.
+
+        Each iteration issues exactly one ``modmul``: a multiply that
+        consumes the low set bit of ``e``, or a squaring that shifts ``e``
+        — so the state before every operation is a loop-top state, and
+        a replay can resume at any operation index (see
+        :func:`modexp_state`).
+        """
         while e:
             if e & 1:
                 result = self.modmul(result, acc, modulus)
-            e >>= 1
-            if e:
+                e ^= 1
+            else:
                 acc = self.modmul(acc, acc, modulus)
+                e >>= 1
         return result
+
+
+def modexp_op_count(exponent: int) -> int:
+    """Number of ``modmul`` calls ``BigIntALU.modexp`` issues for ``exponent``.
+
+    One multiply per set bit plus one squaring per doubling step:
+    ``popcount(e) + bit_length(e) - 1`` (zero for ``e == 0``).
+    """
+    if exponent < 0:
+        raise ConfigurationError("exponent must be non-negative")
+    if exponent == 0:
+        return 0
+    return bin(exponent).count("1") + exponent.bit_length() - 1
+
+
+def modexp_state(
+    products: Iterable[int], base: int, exponent: int, modulus: int
+) -> Tuple[int, int, int]:
+    """The ``(result, acc, e)`` state of :meth:`BigIntALU.modexp_from` after ``products``.
+
+    ``products`` are the unreduced ``bigmul`` products of a prefix of one
+    ``modexp(base, exponent, modulus)``.  Each op either multiplied into
+    ``result`` (``e`` odd, low bit cleared) or squared ``acc`` (``e``
+    even, shifted), so the state follows without redoing any
+    multiplication.
+    """
+    result, acc, e = 1, base, exponent
+    for product in products:
+        if e & 1:
+            result, e = product, e ^ 1
+        else:
+            acc, e = product, e >> 1
+    return result % modulus, acc % modulus, e
 
 
 @dataclass

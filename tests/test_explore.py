@@ -15,11 +15,14 @@ Three contracts matter here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.attacks.rsa_crt import RSAKey, bellcore_extract
+from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, bellcore_extract, victim_key
 from repro.engine import (
     EngineSession,
     ExploreInjectionJob,
@@ -46,6 +49,8 @@ from repro.explore import (
     run_explore,
     trace_victim,
 )
+from repro.explore import victim
+from repro.explore.victim import clear_victim_memo
 from repro.telemetry import NULL_TELEMETRY
 
 KEY = RSAKey.generate(128, seed=42)
@@ -99,11 +104,45 @@ class TestVictimTrace:
         RSACRTSigner(KEY).sign(alu, MESSAGE)
         assert alu.op_count == trace.op_count
 
+    def test_shared_trace_is_immutable(self, trace):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.ops[0].region = "sq"
+
     def test_sp_fault_is_bellcore_exploitable(self, trace):
         faulty = replay_with_fault(KEY, MESSAGE, 0, corruptor("flip:0"))
         result = bellcore_extract(KEY.n, KEY.e, MESSAGE, faulty)
         assert result is not None
         assert result.factors() == tuple(sorted((KEY.p, KEY.q)))
+
+
+class TestSuffixReplay:
+    """Suffix replay against its oracle: the full-signature ReplayALU run."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        bits=st.sampled_from((64, 128, 192, 256)),
+        key_seed=st.integers(min_value=0, max_value=1 << 16),
+        message=st.integers(min_value=0, max_value=1 << 256),
+    )
+    def test_matches_full_replay(self, bits, key_seed, message):
+        key = victim_key(bits, key_seed)
+        op_count = trace_victim(key, message).op_count
+        signer = RSACRTSigner(key)
+        # flip:<n+3> lands above every modulus the products are reduced by.
+        models = ("flip:0", "flip:63", "trunc64", "zero", f"flip:{key.n.bit_length() + 3}")
+        for op_index in range(op_count):  # both recombination ops included
+            for model in models:
+                fault = corruptor(model)
+                assert replay_with_fault(key, message, op_index, fault) == signer.sign(
+                    ReplayALU(op_index, fault), message
+                ), (op_index, model)
+
+    def test_out_of_range_index_is_golden(self, trace):
+        for op_index in (-1, trace.op_count):
+            assert (
+                replay_with_fault(KEY, MESSAGE, op_index, corruptor("zero"))
+                == trace.golden_signature
+            )
 
 
 class TestFaultModels:
@@ -213,6 +252,28 @@ class TestMapIdentity:
         finally:
             session.close()
         assert canonical_json(document) == canonical_json(open_map)
+
+    def test_one_keygen_and_one_trace_per_map(self, open_map, monkeypatch):
+        calls = {"keygen": 0, "trace": 0}
+        generate = RSAKey.generate.__func__
+        trace_victim_ = victim.trace_victim
+
+        def counting_generate(cls, *args, **kwargs):
+            calls["keygen"] += 1
+            return generate(cls, *args, **kwargs)
+
+        def counting_trace(*args, **kwargs):
+            calls["trace"] += 1
+            return trace_victim_(*args, **kwargs)
+
+        monkeypatch.setattr(RSAKey, "generate", classmethod(counting_generate))
+        monkeypatch.setattr(victim, "trace_victim", counting_trace)
+        clear_victim_memo()
+        for maps in (1, 2):  # the memo lasts one map: each map pays once
+            session = EngineSession(executor=SerialExecutor(), cache=ResultCache(), registry=None)
+            document = session.explore(PLAN, rows_per_job=3)
+            assert calls == {"keygen": maps, "trace": maps}
+            assert canonical_json(document) == canonical_json(open_map)
 
     def test_map_round_trips_through_json(self, open_map):
         assert json.loads(canonical_json(open_map)) == open_map
