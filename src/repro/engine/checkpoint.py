@@ -12,14 +12,14 @@ are byte-identical to freshly computed ones.
 
 Layout::
 
-    <dir>/checkpoint.json     # metadata: schema, counts, quarantine list
-    <dir>/entries/<fp>.pkl    # one integrity-checked payload per job
+    <dir>/checkpoint.json     # manifest: schema + quarantine records
+    <dir>/results.jsonl       # ResultStore index: fingerprint → sha256
+    <dir>/objects/            # ResultStore blobs: one pickle per payload
 
-Entry files reuse :class:`~repro.engine.cache.ResultCache`'s disk
-format (magic + sha256 + pickle) and its torn-write quarantine: a
-payload half-written at kill time is detected, set aside as
-``.corrupt`` and simply recomputed on resume.  Both the entry publish
-and the metadata flush are atomic (write-temp + rename), so there is no
+The entries are a :class:`~repro.registry.store.ResultStore`: a payload
+torn by the kill fails its sha256, is set aside as ``.corrupt``, counted
+in ``stats.corrupt`` and simply recomputed on resume.  Blob publishes
+and the manifest write are atomic (write-temp + rename), so there is no
 instant at which a crash can corrupt the checkpoint itself.
 """
 
@@ -27,52 +27,41 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.engine.cache import ResultCache
-from repro.engine.jobs import JobResult
-from repro.errors import ObserveError
+from repro.engine.cache import CacheStats
+from repro.errors import ObserveError, RegistryIntegrityError
+from repro.registry.store import ResultStore
 
-#: Metadata schema tag; stale checkpoints fail loudly instead of
-#: resuming wrongly.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Manifest schema tag; stale checkpoints fail loudly instead of
+#: resuming wrongly (schema 1 kept RPVC1 ``entries/*.pkl`` files).
+CHECKPOINT_SCHEMA_VERSION = 2
 
-#: Metadata discriminator.
+#: Manifest discriminator.
 CHECKPOINT_KIND = "campaign-checkpoint"
 
-#: Metadata file name inside the checkpoint directory.
+#: Manifest file name inside the checkpoint directory.
 MANIFEST_NAME = "checkpoint.json"
-
-_MISS = object()
 
 
 class CampaignCheckpoint:
     """One resumable campaign's persisted progress."""
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        *,
-        flush_every: int = 1,
-        max_memory_entries: int = 16,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.flush_every = max(1, int(flush_every))
-        # The entry store *is* a disk ResultCache: integrity format,
-        # atomic publish and corruption quarantine come for free.  The
-        # memory layer is kept small — checkpoint reads mostly happen
-        # once, at resume.
-        self._store = ResultCache(
-            max_entries=max_memory_entries, directory=self.directory / "entries"
-        )
-        self._recorded_since_flush = 0
         #: Quarantine records carried across resumes (run-report fodder).
         self.quarantined: List[Dict[str, Any]] = []
-        self._completed = 0
+        #: Lookup counters; ``corrupt`` counts torn entries recomputed.
+        self.stats = CacheStats()
         self._load_manifest()
+        #: The completed results (created after the schema check, so a
+        #: stale directory is rejected before anything is written).
+        self.store = ResultStore(self.directory)
+        self.flush()
 
-    # -- metadata ----------------------------------------------------------------
+    # -- manifest ----------------------------------------------------------------
 
     def _manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
@@ -97,37 +86,27 @@ class CampaignCheckpoint:
         self.quarantined = list(manifest.get("quarantined", []))
 
     def flush(self) -> Path:
-        """Atomically publish the metadata file; returns its path."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Atomically publish the manifest; returns its path."""
         manifest = {
             "kind": CHECKPOINT_KIND,
             "schema": CHECKPOINT_SCHEMA_VERSION,
-            "completed": self.completed_count(),
             "quarantined": self.quarantined,
         }
         path = self._manifest_path()
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         tmp.replace(path)
-        self._recorded_since_flush = 0
         return path
 
     # -- recording ---------------------------------------------------------------
 
-    def record(self, result: JobResult) -> None:
-        """Persist one completed result (called as each job lands).
+    def record(self, fingerprint: str, blob: bytes) -> None:
+        """Persist one completed result's payload bytes as it lands.
 
-        The entry publish itself is atomic and immediate — a kill right
-        after this call loses nothing; the metadata flush is merely
-        batched (``flush_every``) because correctness never depends on
-        it (resume trusts the integrity-checked entry files, not the
-        manifest's counters).
+        The publish is atomic and immediate — a kill right after this
+        call loses nothing.
         """
-        self._store.put(result.fingerprint, result.payload)
-        self._completed += 1
-        self._recorded_since_flush += 1
-        if self._recorded_since_flush >= self.flush_every:
-            self.flush()
+        self.store.put(fingerprint, blob)
 
     def record_quarantine(self, info: Dict[str, Any]) -> None:
         """Persist one quarantine record (poison jobs re-run on resume)."""
@@ -139,23 +118,24 @@ class CampaignCheckpoint:
     def get(self, fingerprint: str, default: Any = None) -> Any:
         """The checkpointed payload for a job, or ``default``.
 
-        A torn entry (killed mid-write before the atomic rename, or
-        corrupted on disk afterwards) fails integrity verification, is
-        quarantined and reads as absent — the session then simply
-        re-executes that job.
+        A torn entry (a blob damaged on disk after it was written) fails
+        verification, is quarantined, counted in ``stats.corrupt`` and
+        reads as absent — the session then simply re-executes that job.
         """
-        value = self._store.get(fingerprint, default=_MISS)
-        return default if value is _MISS else value
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._store
+        try:
+            blob = self.store.get(fingerprint)
+        except RegistryIntegrityError:
+            self.stats.corrupt += 1
+            blob = None
+        if blob is None:
+            self.stats.misses += 1
+            return default
+        self.stats.hits += 1
+        return pickle.loads(blob)
 
     def completed_count(self) -> int:
         """How many distinct results the entry store currently holds."""
-        entries = self._store.directory
-        if entries is None or not Path(entries).exists():
-            return 0
-        return sum(1 for _ in Path(entries).glob("*.pkl"))
+        return len(self.store)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for CLI output and run manifests."""

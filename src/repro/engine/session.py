@@ -212,6 +212,10 @@ class EngineSession:
         #: fingerprint (first occurrence wins; identical fingerprints
         #: carry identical payloads by construction).
         self._registry_rows: Dict[str, Dict[str, Any]] = {}
+        #: The current batch's payload pickles by fingerprint, so each
+        #: landed result is encoded once for the checkpoint, the disk
+        #: cache and the registry.
+        self._payload_blobs: Dict[str, bytes] = {}
         #: (batch count, run id) of the last :meth:`record_run` commit,
         #: so closing an already-recorded session does not re-commit.
         self._recorded: Optional[tuple] = None
@@ -260,7 +264,17 @@ class EngineSession:
         if self.checkpoint is not None and not isinstance(
             result.payload, Quarantined
         ):
-            self.checkpoint.record(result)
+            self.checkpoint.record(
+                result.fingerprint,
+                self._payload_blob(result.fingerprint, result.payload),
+            )
+
+    def _payload_blob(self, fingerprint: str, payload: Any) -> bytes:
+        """The payload's :func:`encode_object` bytes, pickled once per batch."""
+        blob = self._payload_blobs.get(fingerprint)
+        if blob is None:
+            blob = self._payload_blobs[fingerprint] = encode_object(payload)
+        return blob
 
     def _sync_supervision(self, before: SupervisionStats) -> None:
         """Fold the executor's supervision deltas into session counters."""
@@ -355,9 +369,9 @@ class EngineSession:
         """Stage one job's spec + payload blobs for :meth:`record_run`.
 
         Blob publishes are atomic and content-deduplicated, so staging
-        as results land (rather than at record time) costs one pickle
-        per new payload and makes a SIGKILL mid-campaign lose nothing
-        already staged.  Registry trouble never fails the campaign: the
+        as results land (rather than at record time) reuses the batch's
+        one pickle per payload and makes a SIGKILL mid-campaign lose
+        nothing already staged.  Registry trouble never fails the campaign: the
         session drops to unrecorded operation instead.
         """
         if self.registry is None:
@@ -374,7 +388,9 @@ class EngineSession:
                 source=source,
                 identity=job.identity(),
                 spec_bytes=encode_object(job),
-                payload_bytes=None if quarantined else encode_object(payload),
+                payload_bytes=(
+                    None if quarantined else self._payload_blob(fingerprint, payload)
+                ),
             )
         except Exception:
             logger.warning(
@@ -453,7 +469,12 @@ class EngineSession:
                 if origin is not None:
                     sources[index] = origin
                 if cache:
-                    self.cache.put(result.fingerprint, result.payload)
+                    blob = (
+                        None
+                        if self.cache.store is None
+                        else self._payload_blob(result.fingerprint, result.payload)
+                    )
+                    self.cache.put(result.fingerprint, result.payload, blob=blob)
                     if self.chaos is not None and self.chaos.should_tear_cache(
                         result.fingerprint
                     ):
@@ -461,6 +482,7 @@ class EngineSession:
         if self.registry is not None:
             for job, payload, source in zip(jobs, payloads, sources):
                 self._stage_registry(job, payload, source)
+        self._payload_blobs.clear()
         self._record_batch(jobs, sources, perf_counter() - started)
         return payloads
 

@@ -48,12 +48,89 @@ class _MetricsHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr logging (scrapes are periodic)."""
 
 
-class _Server(ThreadingHTTPServer):
+class _ThreadingServer(ThreadingHTTPServer):
     daemon_threads = True
-    registry_provider: Callable[[], Any]
 
 
-class MetricsServer:
+class ServerThread:
+    """A ``ThreadingHTTPServer`` bound by :meth:`start`, served by a daemon thread.
+
+    The one server lifecycle :class:`MetricsServer` and the campaign
+    coordinator inherit.  ``port=0`` asks the OS for a free port (read
+    it back from :attr:`port` after :meth:`start`); a requested port
+    that is already in use (or otherwise unbindable) raises
+    :class:`~repro.errors.ObserveError` naming the address and the
+    ``port_flag`` fix, instead of leaking the raw ``OSError`` traceback.
+    ``server_attrs`` are set on the server for the handler to read.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        handler: type,
+        *,
+        host: str,
+        port: int,
+        port_flag: str,
+        thread_name: str,
+        **server_attrs: Any,
+    ) -> None:
+        self._label = label
+        self.host = host
+        self._handler = handler
+        self._requested_port = port
+        self._port_flag = port_flag
+        self._thread_name = thread_name
+        self._server_attrs = server_attrs
+        self._server: Optional[_ThreadingServer] = None
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def port(self) -> int:
+        """The bound port (the requested one until :meth:`start`)."""
+        if self._server is not None:
+            return self._server.server_address[1]
+        return self._requested_port
+
+    def start(self) -> "ServerThread":
+        """Bind and begin serving in a daemon thread."""
+        if self._server is not None:
+            raise ObserveError(f"{self._label} already started")
+        try:
+            server = _ThreadingServer((self.host, self._requested_port), self._handler)
+        except OSError as error:
+            raise ObserveError(
+                f"cannot bind {self._label} to {self.host}:{self._requested_port} "
+                f"({error}); pass {self._port_flag} to pick a free ephemeral port"
+            ) from error
+        for name, value in self._server_attrs.items():
+            setattr(server, name, value)
+        self._server = server
+        self._thread = threading.Thread(
+            target=server.serve_forever, name=self._thread_name, daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Shut the server down and join the serving thread."""
+        if self._server is None:
+            return
+        self._server.shutdown()
+        self._server.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self._server = None
+        self._thread = None
+
+    def __enter__(self) -> "ServerThread":
+        return self.start()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.stop()
+
+
+class MetricsServer(ServerThread):
     """Background OpenMetrics endpoint for one registry (or provider).
 
     ``port=0`` asks the OS for a free port (read it back from
@@ -72,65 +149,20 @@ class MetricsServer:
     ) -> None:
         if (registry is None) == (provider is None):
             raise ObserveError("pass exactly one of registry or provider")
-        self._provider = provider if provider is not None else (lambda: registry)
-        self._host = host
-        self._requested_port = port
-        self._server: Optional[_Server] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound port (the requested one until :meth:`start`)."""
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
+        super().__init__(
+            "metrics server",
+            _MetricsHandler,
+            host=host,
+            port=port,
+            port_flag="--serve-port 0 (or port=0)",
+            thread_name="repro-metrics",
+            registry_provider=provider if provider is not None else (lambda: registry),
+        )
 
     @property
     def url(self) -> str:
         """The ``/metrics`` URL of the running (or configured) server."""
-        return f"http://{self._host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        """Bind and begin serving in a daemon thread.
-
-        A requested port that is already in use (or otherwise unbindable)
-        raises :class:`~repro.errors.ObserveError` naming the address and
-        the fix, instead of leaking the raw ``OSError`` traceback.
-        """
-        if self._server is not None:
-            raise ObserveError("metrics server already started")
-        try:
-            server = _Server((self._host, self._requested_port), _MetricsHandler)
-        except OSError as error:
-            raise ObserveError(
-                f"cannot bind metrics server to "
-                f"{self._host}:{self._requested_port} ({error}); pass "
-                "--serve-port 0 (or port=0) to pick a free ephemeral port"
-            ) from error
-        server.registry_provider = self._provider
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever, name="repro-metrics", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+        return f"http://{self.host}:{self.port}/metrics"
 
     def __repr__(self) -> str:
         state = "running" if self._server is not None else "stopped"

@@ -8,7 +8,7 @@ The coordinator owns three pieces of state behind one lock:
 * a **lease table** — which worker currently holds which jobs, and the
   monotonic deadline by which it must heartbeat;
 * a **result store** — fleet-wide content-addressed dedup
-  (:class:`repro.serve.store.ResultStore`).
+  (:class:`repro.registry.store.ResultStore`).
 
 Robustness semantics deliberately mirror PR-5's in-process supervisor
 (:class:`repro.engine.executors.ParallelExecutor`): leasing a job
@@ -21,12 +21,12 @@ attempt budget is quarantined with its failure history rather than
 poisoning the campaign.
 
 Everything is stdlib: ``ThreadingHTTPServer`` in a daemon thread (the
-same pattern as :class:`repro.observe.serve.MetricsServer`), JSON
-bodies, and the PR-9 span envelope carried on real HTTP headers.  The
-expiry reaper is *lazy* — it runs at the top of every state-mutating
-request instead of in a timer thread, which keeps the coordinator
-single-clocked and trivially testable (tests advance time by passing a
-``clock`` callable).
+:class:`repro.observe.serve.ServerThread` lifecycle it shares with the
+metrics server), JSON bodies, and the span envelope carried on real
+HTTP headers.  The expiry reaper is *lazy* — it runs at the top of every
+state-mutating request instead of in a timer thread, which keeps the
+coordinator single-clocked and trivially testable (tests advance time
+by passing a ``clock`` callable).
 """
 
 from __future__ import annotations
@@ -36,14 +36,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
-from repro.errors import ObserveError, ServeError, ServeProtocolError
+from repro.errors import ServeError, ServeProtocolError
 from repro.observe.openmetrics import OPENMETRICS_CONTENT_TYPE, render_openmetrics
+from repro.observe.serve import ServerThread
 from repro.serve import protocol
-from repro.serve.store import ResultStore
+from repro.registry.store import ResultStore
 from repro.telemetry.registry import Registry
 
 #: Default lease deadline; workers renew at a fraction of this.
@@ -78,7 +79,7 @@ class _Lease:
     fingerprints: Set[str] = field(default_factory=set)
 
 
-class Coordinator:
+class Coordinator(ServerThread):
     """Fault-tolerant job service over a content-addressed result store."""
 
     def __init__(
@@ -95,8 +96,15 @@ class Coordinator:
         self.store = ResultStore(root)
         self.registry = Registry()
         self.lease_timeout_s = float(lease_timeout_s)
-        self._host = host
-        self._requested_port = port
+        super().__init__(
+            "coordinator",
+            _CoordinatorHandler,
+            host=host,
+            port=port,
+            port_flag="--port 0",
+            thread_name="repro-serve",
+            coordinator=self,
+        )
         self._clock = clock
         self._lock = threading.Lock()
         self._jobs: Dict[str, _JobRecord] = {}
@@ -105,60 +113,13 @@ class Coordinator:
         self._workers: Set[str] = set()
         self._chaos: Optional[Dict[str, Any]] = None
         self._lease_serial = 0
-        self._server: Optional[_CoordinatorServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     @property
-    def port(self) -> int:
-        """The bound port (the requested one until :meth:`start`)."""
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    @property
     def url(self) -> str:
         """Base URL of the running (or configured) coordinator."""
-        return f"http://{self._host}:{self.port}"
-
-    def start(self) -> "Coordinator":
-        """Bind and begin serving in a daemon thread."""
-        if self._server is not None:
-            raise ServeError("coordinator already started")
-        try:
-            server = _CoordinatorServer(
-                (self._host, self._requested_port), _CoordinatorHandler
-            )
-        except OSError as error:
-            raise ObserveError(
-                f"cannot bind coordinator to {self._host}:{self._requested_port} "
-                f"({error}); pass --port 0 to pick a free ephemeral port"
-            ) from error
-        server.coordinator = self
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down and join the serving thread."""
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "Coordinator":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+        return f"http://{self.host}:{self.port}"
 
     # -- lease-table mechanics ---------------------------------------------------
 
@@ -244,7 +205,10 @@ class Coordinator:
                     self.registry.counter("serve.jobs.deduped").inc()
                     continue
                 record = self._jobs.get(fingerprint)
-                if record is None:
+                # A done job reaching here lost its stored result (the
+                # blob failed verification and left the index): run it
+                # again so the store heals.
+                if record is None or record.state == protocol.JOB_DONE:
                     record = _JobRecord(
                         fingerprint=fingerprint,
                         kind=str(entry["kind"]),
@@ -451,11 +415,6 @@ class Coordinator:
                     **self.store.stats.as_dict(),
                 },
             }
-
-
-class _CoordinatorServer(ThreadingHTTPServer):
-    daemon_threads = True
-    coordinator: Coordinator
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):

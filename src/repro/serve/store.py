@@ -1,137 +1,13 @@
-"""Fleet-wide content-addressed result store for the coordinator.
+"""The coordinator's fleet-wide dedup store.
 
-The coordinator keeps one :class:`ResultStore` for its whole lifetime.
-Result payload bytes live in the same sha256-addressed blob layout the
-run registry uses (:class:`repro.registry.store.ObjectStore`), so a
-registry directory and a coordinator store can share ``objects/``
-without either caring.  On top of the blobs sits a tiny fingerprint
-index — job fingerprint → payload sha — persisted as an
-append-only JSONL sidecar so a restarted coordinator still serves
-yesterday's results from cache.
-
-Dedup is the point: when any client re-submits a job whose fingerprint
-is already indexed, the coordinator answers from the store instead of
-leasing the job out, and the client records the result with origin
-``remote-cache``.  The index only ever *adds* entries (results are
-deterministic per fingerprint by construction), so concurrent readers
-need no locking beyond the store's own put/get atomicity; the mutating
-paths take a small lock to keep the sidecar append and the in-memory
-map in step.
+It is :class:`repro.registry.store.ResultStore`, the one fingerprint →
+payload store; when any client re-submits a job whose fingerprint is
+already indexed, the coordinator answers from it instead of leasing the
+job out, and the client records the result with origin ``remote-cache``.
 """
 
-from __future__ import annotations
-
-import json
-import threading
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Optional, Union
-
-from repro.registry.store import ObjectStore
-
-#: Sidecar file mapping job fingerprints to payload blob addresses.
-INDEX_NAME = "results.jsonl"
-
-
-@dataclass
-class ResultStoreStats:
-    """Effectiveness counters surfaced on ``/metrics`` and ``/v1/status``."""
-
-    stored: int = 0
-    hits: int = 0
-    misses: int = 0
-
-    def as_dict(self) -> dict:
-        return {"stored": self.stored, "hits": self.hits, "misses": self.misses}
-
-
-@dataclass
-class ResultStore:
-    """fingerprint → result-payload bytes, content-addressed and durable."""
-
-    root: Union[str, Path]
-    stats: ResultStoreStats = field(default_factory=ResultStoreStats)
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._objects = ObjectStore(self.root)
-        self._index: Dict[str, str] = {}
-        self._lock = threading.Lock()
-        self._load_index()
-
-    @property
-    def index_path(self) -> Path:
-        return Path(self.root) / INDEX_NAME
-
-    def _load_index(self) -> None:
-        try:
-            lines = self.index_path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # A torn tail line from a crashed append is the only way a
-                # bad line gets here; everything before it is intact.
-                continue
-            fingerprint = entry.get("fingerprint")
-            sha = entry.get("sha256")
-            if isinstance(fingerprint, str) and isinstance(sha, str):
-                self._index[fingerprint] = sha
-
-    # -- writing -----------------------------------------------------------------
-
-    def put(self, fingerprint: str, blob: bytes) -> str:
-        """Store one result's payload bytes under its job fingerprint.
-
-        Idempotent and first-wins: a fingerprint that is already indexed
-        keeps its original blob (deterministic jobs make any second copy
-        byte-identical anyway; this just makes duplicate deliveries
-        free).  Returns the payload's sha256 address.
-        """
-        with self._lock:
-            existing = self._index.get(fingerprint)
-            if existing is not None:
-                return existing
-            sha = self._objects.put_bytes(blob)
-            with self.index_path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        {"fingerprint": fingerprint, "sha256": sha},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            self._index[fingerprint] = sha
-            self.stats.stored += 1
-            return sha
-
-    # -- reading -----------------------------------------------------------------
-
-    def get(self, fingerprint: str) -> Optional[bytes]:
-        """The stored payload bytes for ``fingerprint``, or ``None``.
-
-        Counts a hit or miss — the coordinator's dedup effectiveness is
-        exactly the hit rate of this method at submit time.
-        """
-        sha = self._index.get(fingerprint)
-        if sha is None:
-            self.stats.misses += 1
-            return None
-        blob = self._objects.get_bytes(sha)
-        self.stats.hits += 1
-        return blob
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
+# Re-exported under this module path because the perfbench tracer patches
+# ``repro.serve.store.ResultStore.put/get``.
+from repro.registry.store import INDEX_NAME, ResultStore, ResultStoreStats
 
 __all__ = ["INDEX_NAME", "ResultStore", "ResultStoreStats"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -20,7 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.engine import EngineSession, FuzzJob, SerialExecutor
+from repro.engine import (
+    CampaignCheckpoint,
+    EngineSession,
+    FuzzJob,
+    ResultCache,
+    SerialExecutor,
+)
 from repro.engine.jobs import AttackCampaignJob
 from repro.errors import RegistryError, RegistryIntegrityError
 from repro.registry import (
@@ -38,6 +45,8 @@ from repro.registry import (
     sha256_hex,
     write_trajectory,
 )
+from repro.registry.store import INDEX_NAME, ResultStore
+from repro.serve import Coordinator, protocol
 
 CODENAMES = ("Sky Lake", "Kaby Lake R", "Comet Lake")
 
@@ -107,6 +116,127 @@ class TestObjectStore:
         torn.write_bytes(b"pay")  # a write SIGKILL tore mid-stream
         assert store.put_bytes(b"payload") == sha
         assert store.get_bytes(sha) == b"payload"
+
+    def test_corrupt_blob_is_healed_by_the_next_put(self, tmp_path):
+        store = ObjectStore(tmp_path)
+        sha = store.put_bytes(b"payload bytes")
+        path = next((tmp_path / "objects").rglob(sha))
+        path.write_bytes(path.read_bytes()[:4])
+        with pytest.raises(RegistryIntegrityError):
+            store.get_bytes(sha)
+        assert store.put_bytes(b"payload bytes") == sha
+        assert store.get_bytes(sha) == b"payload bytes"
+        # The quarantined copy stays on disk but is not a live object.
+        assert path.with_name(sha + ".corrupt").exists()
+        assert store.census() == (1, len(b"payload bytes"))
+
+
+class TestResultStore:
+    def test_torn_tail_line_is_skipped(self, tmp_path):
+        ResultStore(tmp_path).put("f1", b"one")
+        with (tmp_path / INDEX_NAME).open("a") as handle:
+            handle.write('{"fingerprint": "f2", "sha')
+        reopened = ResultStore(tmp_path)
+        assert reopened.get("f1") == b"one"
+        assert "f2" not in reopened and len(reopened) == 1
+
+    def test_first_put_wins(self, tmp_path):
+        store = ResultStore(tmp_path)
+        sha = store.put("f1", b"one")
+        assert store.put("f1", b"other") == sha
+        assert store.get("f1") == b"one" and store.stats.stored == 1
+
+
+class _CacheUse:
+    """The engine's disk cache over a ``REPRO_CACHE_DIR``."""
+
+    torn_read_raises = False
+
+    def __init__(self, root):
+        self.cache = ResultCache(directory=root)
+
+    def put(self, fingerprint, payload):
+        self.cache.put(fingerprint, payload)
+
+    def read(self, fingerprint):
+        return self.cache.get(fingerprint)
+
+    def blob(self, fingerprint):
+        return self.cache.store.blob_path(fingerprint)
+
+    def corrupt(self):
+        return self.cache.stats.corrupt
+
+
+class _CheckpointUse:
+    """A campaign checkpoint directory."""
+
+    torn_read_raises = False
+
+    def __init__(self, root):
+        self.checkpoint = CampaignCheckpoint(root)
+
+    def put(self, fingerprint, payload):
+        self.checkpoint.record(fingerprint, encode_object(payload))
+
+    def read(self, fingerprint):
+        return self.checkpoint.get(fingerprint)
+
+    def blob(self, fingerprint):
+        return self.checkpoint.store.blob_path(fingerprint)
+
+    def corrupt(self):
+        return self.checkpoint.stats.corrupt
+
+
+class _CoordinatorUse:
+    """The coordinator's dedup store, driven through its handlers."""
+
+    torn_read_raises = True
+
+    def __init__(self, root):
+        self.service = Coordinator(root)
+
+    def put(self, fingerprint, payload):
+        job = {"fingerprint": fingerprint, "kind": "fuzz", "spec": ""}
+        self.service.handle_submit({"jobs": [job]}, {})
+        granted, _ = self.service.handle_lease({"worker_id": "w1"}, {})
+        assert [job["fingerprint"] for job in granted["jobs"]] == [fingerprint]
+        blob = protocol.encode_payload(encode_object(payload))
+        self.service.handle_result(fingerprint, {"status": "ok", "payload": blob}, {})
+
+    def read(self, fingerprint):
+        body, _ = self.service.handle_collect({"fingerprints": [fingerprint]}, {})
+        done = body["done"].get(fingerprint)
+        return None if done is None else pickle.loads(protocol.decode_payload(done["payload"]))
+
+    def blob(self, fingerprint):
+        return self.service.store.blob_path(fingerprint)
+
+
+@pytest.mark.parametrize(
+    "use", [_CacheUse, _CheckpointUse, _CoordinatorUse], ids=["cache", "checkpoint", "coordinator"]
+)
+def test_torn_blob_is_quarantined_then_healed(tmp_path, use):
+    """One store contract for all three uses of the result store."""
+    fingerprint, payload = "f" * 64, {"rows": [1, 2, 3]}
+    use(tmp_path).put(fingerprint, payload)
+    blob = use(tmp_path).blob(fingerprint)
+    blob.write_bytes(blob.read_bytes()[:5])
+
+    reader = use(tmp_path)
+    if use.torn_read_raises:
+        with pytest.raises(RegistryIntegrityError):
+            reader.read(fingerprint)
+    else:
+        assert reader.read(fingerprint) is None
+        assert reader.corrupt() == 1
+    assert not blob.exists() and blob.with_name(blob.name + ".corrupt").exists()
+    assert reader.read(fingerprint) is None  # quarantined: now a plain miss
+
+    reader.put(fingerprint, payload)
+    assert blob.exists()
+    assert use(tmp_path).read(fingerprint) == payload
 
 
 class TestRunId:

@@ -479,7 +479,7 @@ class TestCampaignCheckpoint:
         )
         clean_payloads = first.run_jobs(jobs)
         # Tear one entry mid-file, as a kill during the write would.
-        entry = sorted((tmp_path / "entries").glob("*.pkl"))[0]
+        entry = sorted(p for p in (tmp_path / "objects").rglob("*") if p.is_file())[0]
         entry.write_bytes(entry.read_bytes()[:20])
 
         resumed = EngineSession(
@@ -490,7 +490,35 @@ class TestCampaignCheckpoint:
         payloads = resumed.run_jobs(jobs)
         assert _canonical(payloads) == _canonical(clean_payloads)
         assert resumed.counters()["engine.resumed"] == 1
-        assert list((tmp_path / "entries").glob("*.corrupt"))
+        assert resumed.checkpoint.stats.corrupt == 1
+        assert list((tmp_path / "objects").rglob("*.corrupt"))
+
+    def test_each_landed_payload_is_pickled_once(self, tmp_path, monkeypatch):
+        """Checkpoint, disk cache and registry share one pickle per result."""
+        import repro.engine.cache as cache_module
+        import repro.engine.session as session_module
+        from repro.engine.jobs import JobSpec
+        from repro.registry import RunRegistry, encode_object
+
+        pickled = []
+
+        def counting(obj):
+            pickled.append(obj)
+            return encode_object(obj)
+
+        monkeypatch.setattr(session_module, "encode_object", counting)
+        monkeypatch.setattr(cache_module, "encode_object", counting)
+        jobs = _fuzz_jobs(count=3)
+        session = EngineSession(
+            executor=SerialExecutor(),
+            cache=ResultCache(directory=tmp_path / "cache"),
+            checkpoint=CampaignCheckpoint(tmp_path / "ckpt"),
+            registry=RunRegistry(tmp_path / "registry"),
+        )
+        session.run_jobs(jobs)
+        payloads = [obj for obj in pickled if not isinstance(obj, JobSpec)]
+        assert len(payloads) == len(jobs)
+        assert session.checkpoint.completed_count() == len(jobs)
 
     def test_quarantine_records_survive_reopen(self, tmp_path):
         checkpoint = CampaignCheckpoint(tmp_path)
@@ -506,6 +534,13 @@ class TestCampaignCheckpoint:
             json.dumps({"kind": "something-else"})
         )
         with pytest.raises(ObserveError):
+            CampaignCheckpoint(tmp_path)
+
+    def test_rejects_schema_1_checkpoint(self, tmp_path):
+        (tmp_path / "checkpoint.json").write_text(
+            json.dumps({"kind": "campaign-checkpoint", "schema": 1, "completed": 3})
+        )
+        with pytest.raises(ObserveError, match="schema 1"):
             CampaignCheckpoint(tmp_path)
 
     def test_sigkilled_campaign_resumes_losslessly(self, tmp_path):
@@ -615,7 +650,7 @@ class TestChaosConvergence:
         second = session.run_jobs(jobs)
         assert _canonical(first) == _canonical(second)
         assert session.cache.stats.corrupt == len(jobs)
-        assert len(list(tmp_path.glob("*.pkl.corrupt"))) == len(jobs)
+        assert len(list(tmp_path.rglob("*.corrupt"))) == len(jobs)
 
     def test_double_chaos_runs_are_byte_identical(self, tmp_path):
         jobs = _fuzz_jobs(count=4)
