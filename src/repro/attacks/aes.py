@@ -37,7 +37,6 @@ SBOX = bytes.fromhex(
     "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
 )
-INV_SBOX = bytes(256)
 INV_SBOX = bytearray(256)
 for _i, _v in enumerate(SBOX):
     INV_SBOX[_v] = _i
@@ -61,6 +60,15 @@ def gmul(a: int, b: int) -> int:
             a ^= 0x1B
         b >>= 1
     return result
+
+
+#: ``GMUL[c][x] == gmul(c, x)`` for the MixColumns coefficients c = 1, 2, 3,
+#: so the hot paths multiply by table lookup.
+GMUL = {c: bytes(gmul(c, x) for x in range(256)) for c in (1, 2, 3)}
+#: ``GMUL_INV[c][GMUL[c][x]] == x``: multiplication by c != 0 is a bijection.
+GMUL_INV = {
+    c: bytes(sorted(range(256), key=table.__getitem__)) for c, table in GMUL.items()
+}
 
 
 def expand_key(key: bytes) -> List[bytes]:
@@ -112,15 +120,14 @@ def _shift_rows(state: List[int]) -> None:
 
 
 def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        for r in range(4):
-            state[r + 4 * c] = (
-                gmul(MC[r][0], col[0])
-                ^ gmul(MC[r][1], col[1])
-                ^ gmul(MC[r][2], col[2])
-                ^ gmul(MC[r][3], col[3])
-            )
+    # The rows of MC, unrolled over the coefficient tables.
+    mul2, mul3 = GMUL[2], GMUL[3]
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c : c + 4]
+        state[c] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3
+        state[c + 1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3
+        state[c + 2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3]
+        state[c + 3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3]
 
 
 def _add_round_key(state: List[int], round_key: bytes) -> None:
@@ -255,18 +262,21 @@ class DFAState:
             for k in range(256):
                 table.setdefault(INV_SBOX[c ^ k] ^ INV_SBOX[f ^ k], set()).add(k)
             diff_to_keys.append(table)
+        # A fault delta in ``fault_row`` is consistent when every byte's
+        # ``MC[j][fault_row] * delta`` is a reachable S-box input
+        # difference: intersect the four coefficient preimages.
         pair_sets: List[Set[int]] = [set(), set(), set(), set()]
-        for delta in range(1, 256):
-            for fault_row in range(4):
-                per_byte = []
-                for j in range(4):
-                    matches = diff_to_keys[j].get(gmul(MC[j][fault_row], delta))
-                    if not matches:
-                        break
-                    per_byte.append(matches)
-                else:
-                    for j in range(4):
-                        pair_sets[j] |= per_byte[j]
+        for fault_row in range(4):
+            coefficients = [MC[j][fault_row] for j in range(4)]
+            deltas = set.intersection(
+                *(
+                    {GMUL_INV[c][d] for d in diff_to_keys[j]}
+                    for j, c in enumerate(coefficients)
+                )
+            )
+            for delta in deltas:
+                for j, c in enumerate(coefficients):
+                    pair_sets[j] |= diff_to_keys[j][GMUL[c][delta]]
         existing = self.candidates.get(group_index)
         if existing is None:
             self.candidates[group_index] = pair_sets

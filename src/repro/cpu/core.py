@@ -37,6 +37,7 @@ class Core:
     telemetry: Optional[Telemetry] = None
     pstate: PStateMachine = field(init=False)
     regulator: VoltageRegulator = field(init=False)
+    _conditions_memo: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.pstate = PStateMachine(self.model.frequency_table)
@@ -81,12 +82,27 @@ class Core:
         )
 
     def conditions(self, now: float) -> OperatingConditions:
-        """Snapshot the core's electrical operating point."""
-        return OperatingConditions(
+        """Snapshot the core's electrical operating point.
+
+        Memoised on everything the snapshot depends on: sim time, P-state
+        ratio, the core plane's regulator transition and the slew mode.
+        Repeated reads in one core state evaluate the V/f curve once, and
+        any voltage write, reboot, P-state change or time advance changes
+        the key, so live conditions are still observed.
+        """
+        regulator = self.regulator
+        key = (now, self.pstate.ratio, regulator.transition(VoltagePlane.CORE), regulator.slew)
+        memo = self._conditions_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        offset_mv = self.applied_offset_mv(now)
+        conditions = OperatingConditions(
             frequency_ghz=self.frequency_ghz,
-            voltage_volts=self.effective_voltage(now),
-            offset_mv=self.applied_offset_mv(now),
+            voltage_volts=self.vf_curve.effective_voltage(self.frequency_ghz, offset_mv),
+            offset_mv=offset_mv,
         )
+        self._conditions_memo = (key, conditions)
+        return conditions
 
     def reset(self) -> None:
         """Reboot-time reset: base P-state, zero offsets."""

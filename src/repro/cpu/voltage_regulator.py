@@ -123,6 +123,10 @@ class VoltageRegulator:
             self.observer(self, plane, transition, now)
         return transition.settle_time
 
+    def transition(self, plane: VoltagePlane) -> Optional[_Transition]:
+        """The plane's most recent offset change, or None since reset."""
+        return self._transitions.get(plane)
+
     def target_offset_mv(self, plane: VoltagePlane) -> float:
         """The most recently requested offset (what a read-back reports)."""
         transition = self._transitions.get(plane)

@@ -11,7 +11,7 @@ product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ class FaultInjector:
         #: ``observer(conditions, fault_count, crashed, instruction)`` after
         #: every sampled window / single-instruction probe.
         self.observer: Optional[Callable] = None
+        self._decision: Optional[tuple] = None
 
     @property
     def fault_model(self) -> FaultModel:
@@ -104,6 +105,28 @@ class FaultInjector:
     def rng(self) -> np.random.Generator:
         """The scenario-owned random generator all sampling flows through."""
         return self._rng
+
+    def _decide(
+        self, conditions: OperatingConditions, instruction: str
+    ) -> Tuple[bool, Optional[float]]:
+        """``(crashed, per-op fault probability)`` for one instruction.
+
+        Memoised on ``(conditions, instruction, temperature)``, so every
+        window and probe in one core state shares a single evaluation.
+        The crash is decided first; a crash leaves the probability None
+        and the instruction unchecked.
+        """
+        model = self._fault_model
+        key = (conditions, instruction, model.temperature_c)
+        decision = self._decision
+        if decision is not None and decision[0] == key:
+            return decision[1], decision[2]
+        crashed = model.is_crash(conditions.frequency_ghz, conditions.voltage_volts)
+        probability = None if crashed else model.fault_probability(
+            conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
+        )
+        self._decision = (key, crashed, probability)
+        return crashed, probability
 
     def _record_crash(self, conditions: OperatingConditions) -> None:
         """Count a crash and emit its ``fault.crash`` trace instant.
@@ -152,9 +175,7 @@ class FaultInjector:
         if ops < 0:
             raise ConfigurationError("ops must be non-negative")
         self._windows_counter.inc()
-        crashed = self._fault_model.is_crash(
-            conditions.frequency_ghz, conditions.voltage_volts
-        )
+        crashed, probability = self._decide(conditions, instruction)
         if crashed:
             self._record_crash(conditions)
         if crashed and raise_on_crash:
@@ -167,9 +188,10 @@ class FaultInjector:
                 frequency_ghz=conditions.frequency_ghz,
                 offset_mv=int(round(conditions.offset_mv)),
             )
-        probability = self._fault_model.fault_probability(
-            conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
-        )
+        if crashed:  # suppressed: the window still samples its faults
+            probability = self._fault_model.fault_probability(
+                conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
+            )
         fault_count = 0
         if ops > 0 and probability > 0.0:
             fault_count = int(self._rng.binomial(ops, probability))
@@ -224,7 +246,8 @@ class FaultInjector:
         crashes are visible in traces and counters too.
         """
         self._windows_counter.inc()
-        if self._fault_model.is_crash(conditions.frequency_ghz, conditions.voltage_volts):
+        crashed, probability = self._decide(conditions, instruction)
+        if crashed:
             self._record_crash(conditions)
             if self.observer is not None:
                 self.observer(conditions, 0, True, instruction)
@@ -233,9 +256,6 @@ class FaultInjector:
                 frequency_ghz=conditions.frequency_ghz,
                 offset_mv=int(round(conditions.offset_mv)),
             )
-        probability = self._fault_model.fault_probability(
-            conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
-        )
         if probability <= 0.0 or self._rng.random() >= probability:
             if self.observer is not None:
                 self.observer(conditions, 0, False, instruction)

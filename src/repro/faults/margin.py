@@ -94,14 +94,13 @@ class FaultModel:
 
     def critical_voltage(self, frequency_ghz: float) -> float:
         """Cached typical critical voltage (V) at the current temperature."""
-        temp_key = (
-            None if self.temperature_c is None else round(self.temperature_c, 1)
-        )
         # Key on micro-hertz precision, not the 0.1 GHz characterization
         # grid: a coarse `round(f * 10)` bucket silently served one cached
         # critical voltage for *every* frequency within the same 0.1 GHz
-        # (e.g. a fine explorer sweep probing 3.61 and 3.64 GHz).
-        key = (round(frequency_ghz * 1e6), temp_key)
+        # (e.g. a fine explorer sweep probing 3.61 and 3.64 GHz).  The
+        # temperature is keyed exactly for the same reason: a 0.1 degC
+        # bucket would serve 85.0 degC's value at 85.04 degC.
+        key = (round(frequency_ghz * 1e6), self.temperature_c)
         cached = self._vcrit_cache.get(key)
         if cached is None:
             cached = self.analyzer.critical_voltage(

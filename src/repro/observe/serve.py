@@ -52,6 +52,11 @@ class _ThreadingServer(ThreadingHTTPServer):
     daemon_threads = True
 
 
+#: ``serve_forever`` poll interval (s): bounds how long :meth:`ServerThread.stop`
+#: waits for the serving loop to notice the shutdown request.
+_POLL_INTERVAL_S = 0.05
+
+
 class ServerThread:
     """A ``ThreadingHTTPServer`` bound by :meth:`start`, served by a daemon thread.
 
@@ -107,7 +112,10 @@ class ServerThread:
             setattr(server, name, value)
         self._server = server
         self._thread = threading.Thread(
-            target=server.serve_forever, name=self._thread_name, daemon=True
+            target=server.serve_forever,
+            args=(_POLL_INTERVAL_S,),
+            name=self._thread_name,
+            daemon=True,
         )
         self._thread.start()
         return self

@@ -8,9 +8,14 @@ import pytest
 from repro.errors import AttackError, ConfigurationError
 from repro.attacks.aes import (
     CIPHERTEXT_GROUPS,
+    GMUL,
+    GMUL_INV,
+    INV_SBOX,
+    MC,
     DFAState,
     FaultableAES,
     _encrypt_with_schedule,
+    _mix_columns,
     diff_group,
     encrypt_block,
     expand_key,
@@ -64,6 +69,20 @@ class TestAESPrimitives:
         assert gmul(0x57, 0x13) == 0xFE
         assert gmul(1, 0xAB) == 0xAB
         assert gmul(0, 0xFF) == 0
+
+    def test_coefficient_tables_match_gmul(self):
+        for c in (1, 2, 3):
+            assert len(GMUL[c]) == 256
+            for x in range(256):
+                assert GMUL[c][x] == gmul(c, x)
+                assert GMUL_INV[c][GMUL[c][x]] == x
+
+    def test_mix_columns_known_columns(self):
+        # FIPS-197 Appendix B, round 1, column 0; and the widely used
+        # db 13 53 45 test column.  The other two columns stay zero.
+        state = list(bytes.fromhex("d4bf5d30" "db135345") + bytes(8))
+        _mix_columns(state)
+        assert bytes(state) == bytes.fromhex("046681e5" "8e4da1bc") + bytes(8)
 
 
 class TestFaultPropagation:
@@ -145,6 +164,56 @@ class TestDFA:
             true_byte = round_keys[10][CIPHERTEXT_GROUPS[group][j]]
             assert true_byte in candidates  # never eliminates the truth
             assert len(candidates) < 256  # but always narrows
+
+
+def _reference_pair_sets(correct: bytes, faulty: bytes, group_index: int):
+    """Per-byte key candidates of one pair, by the exhaustive delta walk."""
+    group = CIPHERTEXT_GROUPS[group_index]
+    diff_to_keys = []
+    for j in range(4):
+        c, f = correct[group[j]], faulty[group[j]]
+        table = {}
+        for k in range(256):
+            table.setdefault(INV_SBOX[c ^ k] ^ INV_SBOX[f ^ k], set()).add(k)
+        diff_to_keys.append(table)
+    pair_sets = [set(), set(), set(), set()]
+    for delta in range(1, 256):
+        for fault_row in range(4):
+            per_byte = [diff_to_keys[j].get(gmul(MC[j][fault_row], delta)) for j in range(4)]
+            if all(per_byte):
+                for j in range(4):
+                    pair_sets[j] |= per_byte[j]
+    return pair_sets
+
+
+class TestDFAAbsorbIdentity:
+    def test_preimage_intersection_matches_delta_walk(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            key = bytes(rng.integers(0, 256, 16, dtype=np.uint8))
+            plaintext = bytes(rng.integers(0, 256, 16, dtype=np.uint8))
+            round_keys = expand_key(key)
+            correct = _encrypt_with_schedule(
+                round_keys, plaintext, fault_round=None, fault=None
+            )
+            index = int(rng.integers(0, 16))
+            dfa = DFAState()
+            expected = None
+            # Two pairs on the same byte: the first sets the candidates,
+            # the second intersects them.
+            for _pair in range(2):
+                delta = int(rng.integers(1, 256))
+                faulty = _encrypt_with_schedule(
+                    round_keys, plaintext, fault_round=9, fault=(index, delta)
+                )
+                group = dfa.absorb(correct, faulty)
+                assert group is not None
+                reference = _reference_pair_sets(correct, faulty, group)
+                if expected is None:
+                    expected = reference
+                elif not all(len(s) == 1 for s in expected):
+                    expected = [a & b for a, b in zip(expected, reference)]
+                assert dfa.candidates[group] == expected
 
 
 class TestFaultableAES:

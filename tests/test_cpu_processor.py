@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CoreIndexError, OCMProtocolError
 from repro.clock import ManualClock
@@ -10,7 +12,10 @@ from repro.core.encoding import offset_voltage, read_request
 from repro.cpu import perf_status
 from repro.cpu.models import COMET_LAKE, SKY_LAKE
 from repro.cpu.msr import IA32_PERF_CTL, IA32_PERF_STATUS, MSR_OC_MAILBOX, MSR_PLATFORM_INFO
+from repro.cpu.core import Core
+from repro.cpu.ocm import VoltagePlane
 from repro.cpu.processor import SimulatedProcessor
+from repro.faults.margin import OperatingConditions
 
 
 @pytest.fixture
@@ -136,6 +141,57 @@ class TestConditionsView:
         assert conditions.frequency_ghz == pytest.approx(1.8)
         assert conditions.offset_mv == 0.0
         assert conditions.voltage_volts > 0.7
+
+
+def _fresh_conditions(core: Core, now: float) -> OperatingConditions:
+    offset_mv = core.regulator.applied_offset_mv(VoltagePlane.CORE, now)
+    return OperatingConditions(
+        frequency_ghz=core.frequency_ghz,
+        voltage_volts=core.vf_curve.effective_voltage(core.frequency_ghz, offset_mv),
+        offset_mv=offset_mv,
+    )
+
+
+_CORE_OPS = st.lists(
+    st.one_of(
+        # In units of the lowering latency, so steps land mid-transition.
+        st.tuples(st.just("advance"), st.floats(0.0, 1.5)),
+        st.tuples(st.just("offset"), st.integers(-300, 50)),
+        st.tuples(
+            st.just("frequency"),
+            st.sampled_from(COMET_LAKE.frequency_table.frequencies_ghz()),
+        ),
+        st.tuples(st.just("slew"), st.booleans()),
+        st.tuples(st.just("reboot"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+class TestConditionsMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(slew=st.booleans(), ops=_CORE_OPS)
+    def test_memo_matches_a_fresh_snapshot(self, slew, ops):
+        core = Core(0, COMET_LAKE, COMET_LAKE.vf_curve())
+        core.regulator.slew = slew
+        now = 0.0
+        for op, arg in ops:
+            if op == "advance":
+                now += arg * COMET_LAKE.regulator_latency_s
+            elif op == "offset":
+                core.request_offset(VoltagePlane.CORE, float(arg), now)
+            elif op == "frequency":
+                core.set_frequency(arg, now)
+            elif op == "slew":
+                core.regulator.slew = arg
+            else:
+                core.reset()
+            # The first read may evaluate, the second must hit the memo.
+            assert core.conditions(now) == _fresh_conditions(core, now)
+            assert core.conditions(now) == _fresh_conditions(core, now)
+
+    def test_repeated_reads_share_one_snapshot(self, processor):
+        assert processor.conditions(0) is processor.conditions(0)
 
 
 class TestNonCorePlanes:

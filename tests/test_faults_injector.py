@@ -167,3 +167,46 @@ class TestSingleOp:
             ).run_window(conditions, 1)
         names = lambda t: [e.name for e in t.tracer.events]  # noqa: E731
         assert names(single) == names(window) == ["fault.crash"]
+
+
+class TestDecisionMemo:
+    def test_set_temperature_invalidates_decision(self, fault_model):
+        # A hotter die lowers the critical voltage at 2 GHz, so a point one
+        # sigma below the reference critical voltage stops crashing.
+        vcrit = fault_model.critical_voltage(2.0)
+        conditions = OperatingConditions(
+            frequency_ghz=2.0, voltage_volts=vcrit - 0.011, offset_mv=-999
+        )
+        injector = FaultInjector(fault_model, np.random.default_rng(7))
+        with pytest.raises(MachineCheckError):
+            injector.maybe_fault_value(conditions, 0)
+        fault_model.set_temperature(95.0)
+        assert not fault_model.is_crash(2.0, conditions.voltage_volts)
+        injector.maybe_fault_value(conditions, 0)
+        assert not injector.run_window(conditions, 1000).crashed
+        fault_model.set_temperature(None)
+        with pytest.raises(MachineCheckError):
+            injector.run_window(conditions, 1000)
+
+    def test_crash_precedes_unknown_instruction_in_window(self, injector, fault_model):
+        with pytest.raises(MachineCheckError):
+            injector.run_window(crashing_conditions(fault_model), 10, instruction="fsqrt")
+
+    def test_crash_precedes_unknown_instruction_in_single_op(self, injector, fault_model):
+        with pytest.raises(MachineCheckError):
+            injector.maybe_fault_value(crashing_conditions(fault_model), 7, instruction="fsqrt")
+
+    def test_suppressed_crash_still_checks_instruction(self, injector, fault_model):
+        with pytest.raises(ConfigurationError):
+            injector.run_window(
+                crashing_conditions(fault_model), 10, instruction="fsqrt",
+                raise_on_crash=False,
+            )
+
+    def test_unknown_instruction_after_a_memoised_decision(self, injector, fault_model):
+        conditions = faulting_conditions(fault_model)
+        injector.run_window(conditions, 10)
+        with pytest.raises(ConfigurationError):
+            injector.run_window(conditions, 10, instruction="fsqrt")
+        with pytest.raises(ConfigurationError):
+            injector.maybe_fault_value(conditions, 7, instruction="fsqrt")

@@ -138,3 +138,15 @@ class TestConditionsForOffset:
         assert comet.critical_voltage(2.0) != pytest.approx(
             skylake.critical_voltage(2.0), abs=1e-4
         )
+
+
+class TestCriticalVoltageCache:
+    def test_temperature_keyed_exactly(self):
+        # A fresh model: the module fixture's cache is shared across tests.
+        fault_model = FaultModel(COMET_LAKE)
+        fault_model.set_temperature(85.0)
+        fault_model.critical_voltage(2.0)
+        fault_model.set_temperature(85.04)
+        assert fault_model.critical_voltage(2.0) == (
+            fault_model.analyzer.critical_voltage(2.0, temperature_c=85.04)
+        )
