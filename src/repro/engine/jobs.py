@@ -607,9 +607,9 @@ class ExploreInjectionJob(JobSpec):
     fingerprint still covers the whole replay) and are regenerated once
     per map in each process, then shared by every shard of that map it
     runs.  Each (op_index, model) representative replays the signature
-    with exactly that operation corrupted — resuming from the golden
-    trace, so only the faulted suffix is recomputed — and the verdict is
-    one of ``masked`` (the signature survived), ``exploitable``
+    with exactly that operation corrupted — one faulted op, one builtin
+    ``pow`` for the rest of its exponentiation, two Garner ops — and the
+    verdict is one of ``masked`` (the signature survived), ``exploitable``
     (Bellcore factoring recovered the key's primes) or ``corrupted``
     (wrong but unexploitable).
     """

@@ -15,7 +15,7 @@ multiplications one for one:
 * :class:`ReplayALU` executes with real arithmetic but returns a
   corrupted product at exactly one operation index — the deterministic
   single-fault adversary of the ARMORY model.  Run over a whole
-  signature it is the reference the suffix replay is checked against.
+  signature it is the oracle the closed-form replay is checked against.
 
 Region labels follow from the exponent structure: square-and-multiply
 over ``e`` issues ``popcount(e) + bit_length(e) - 1`` modular
@@ -25,9 +25,9 @@ exponentiations followed by the two Garner recombination ops.
 Keys and golden traces are pure functions of their inputs, so each
 process memoizes them (:func:`~repro.attacks.rsa_crt.victim_key`,
 :func:`victim_trace`) and every job shard of a map it runs shares one
-immutable trace.  :func:`replay_with_fault` resumes from that trace: it
-rebuilds the exponentiation state just before the faulted operation and
-re-runs only the suffix the fault can reach.
+immutable trace.  The trace holds the ``modexp`` loop state before each
+exponentiation op, so :func:`replay_with_fault` costs one faulted op,
+one exact builtin ``pow`` and the two Garner ops.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, victim_key
 from repro.errors import ConfigurationError
-from repro.faults.alu import BigIntALU, modexp_op_count, modexp_state
+from repro.faults.alu import BigIntALU, modexp_op_count
 
 #: Region labels in trace order.
 REGION_SP = "sp"
@@ -123,12 +123,13 @@ class ReplayALU(BigIntALU):
 
 @dataclass(frozen=True)
 class VictimTrace:
-    """The victim signature's full, regioned multiplication trace."""
+    """The victim's regioned multiplication trace and its :func:`loop_states`."""
 
     key: RSAKey
     message: int
     golden_signature: int
     ops: Tuple[TracedOp, ...]
+    states: Tuple[Tuple[int, int, int], ...] = ()
 
     @property
     def op_count(self) -> int:
@@ -178,8 +179,37 @@ def trace_victim(key: RSAKey, message: int) -> VictimTrace:
             "final recombination op unexpectedly carries a reduce modulus"
         )
     return VictimTrace(
-        key=key, message=message, golden_signature=golden, ops=tuple(alu.ops)
+        key=key, message=message, golden_signature=golden, ops=tuple(alu.ops),
+        states=loop_states(key, message, alu.ops),
     )
+
+
+def loop_states(
+    key: RSAKey, message: int, ops: Sequence[TracedOp]
+) -> Tuple[Tuple[int, int, int], ...]:
+    """The ``modexp`` state ``(result, acc, e)`` before each ``sp``/``sq`` op.
+
+    Follows :meth:`~repro.faults.alu.BigIntALU.modexp` over both CRT
+    halves, taking each next state from the traced product.  An op whose
+    recorded operands or modulus are not the ones its state predicts
+    means the trace drifted from the loop the replay resumes: a hard error.
+    """
+    m = message % key.n
+    states = []
+    for exponent, prime in ((key.dp, key.p), (key.dq, key.q)):
+        result, acc, e = 1 % prime, m % prime, exponent
+        while e:
+            op = ops[len(states)]
+            states.append((result, acc, e))
+            if (op.lhs, op.rhs, op.reduce_mod) != (result if e & 1 else acc, acc, prime):
+                raise ConfigurationError(
+                    f"traced op {op.index} does not multiply its modexp state"
+                )
+            if e & 1:
+                result, e = op.product % prime, e ^ 1
+            else:
+                acc, e = op.product % prime, e >> 1
+    return tuple(states)
 
 
 @functools.lru_cache(maxsize=4)
@@ -205,32 +235,26 @@ def replay_with_fault(
     """The signature produced with operation ``op_index`` corrupted.
 
     Equal to ``RSACRTSigner(key).sign(ReplayALU(op_index, corruptor),
-    message)``, but only the computation the fault can reach is redone:
-    the faulted exponentiation resumes from its traced state just before
-    ``op_index``, the other half's result comes from the golden trace,
-    and the two Garner recombination ops run on top.  A fault in the
-    recombination costs two multiplications.
+    message)``: the faulted op runs from its traced loop state, the rest
+    of its exponentiation is the exact ``result * acc**e mod prime`` the
+    ``modexp`` loop returns, the other half comes from the golden
+    signature, and the two Garner recombination ops run on top.
     """
     trace = victim_trace(key, message)
     if not 0 <= op_index < trace.op_count:
         return trace.golden_signature
-    m = message % key.n
-    n_sp = modexp_op_count(key.dp)
-    n_sq = modexp_op_count(key.dq)
-    # Resumed ops count from zero, so the corrupted op is the first one
-    # issued, or the recombination op the index names.
-    alu = ReplayALU(max(0, op_index - n_sp - n_sq), corruptor)
-    halves = []
-    for start, count, exponent, prime in (
-        (0, n_sp, key.dp, key.p),
-        (n_sp, n_sq, key.dq, key.q),
-    ):
-        if start <= op_index < start + count:
-            prefix = (op.product for op in trace.ops[start:op_index])
-            state = modexp_state(prefix, m % prime, exponent, prime)
-            halves.append(alu.modexp_from(*state, prime))
-        else:
-            # The multiply that clears e is the exponentiation's last op.
-            last = trace.ops[start + count - 1].product if count else 1
-            halves.append(last % prime)
+    n_exp = len(trace.states)
+    # The faulted op is the first one issued, or the recombination op
+    # the index names.
+    alu = ReplayALU(max(0, op_index - n_exp), corruptor)
+    # Garner's output is s_p mod p and s_q mod q: the golden halves.
+    halves = [trace.golden_signature % key.p, trace.golden_signature % key.q]
+    if op_index < n_exp:
+        half = trace.ops[op_index].region == REGION_SQ
+        prime = (key.p, key.q)[half]
+        result, acc, e = trace.states[op_index]
+        if e & 1:  # multiply: result * acc, then acc**(e - 1)
+            halves[half] = alu.modmul(result, acc, prime) * pow(acc, e - 1, prime) % prime
+        else:  # square: result * (acc * acc)**(e / 2)
+            halves[half] = result * pow(alu.modmul(acc, acc, prime), e >> 1, prime) % prime
     return RSACRTSigner(key).recombine(alu, *halves)

@@ -16,7 +16,7 @@ multiplication is ~64 limb products, any one of which may flip a bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Tuple
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -60,23 +60,16 @@ class BigIntALU:
 
         The workhorse of the RSA-CRT victim: hundreds of modular
         multiplications per exponentiation, every one through
-        :meth:`bigmul`.
+        :meth:`bigmul`.  Each iteration issues one ``modmul`` (a multiply
+        that clears the low set bit of ``e``, or a squaring that shifts
+        it) and keeps ``result * acc**e % modulus`` invariant, so the
+        explorer can finish a faulted exponentiation in closed form.
         """
         if modulus <= 0:
             raise ConfigurationError("modulus must be positive")
         if exponent < 0:
             raise ConfigurationError("exponent must be non-negative")
-        return self.modexp_from(1 % modulus, base % modulus, exponent, modulus)
-
-    def modexp_from(self, result: int, acc: int, e: int, modulus: int) -> int:
-        """Finish a square-and-multiply exponentiation from state ``(result, acc, e)``.
-
-        Each iteration issues exactly one ``modmul``: a multiply that
-        consumes the low set bit of ``e``, or a squaring that shifts ``e``
-        — so the state before every operation is a loop-top state, and
-        a replay can resume at any operation index (see
-        :func:`modexp_state`).
-        """
+        result, acc, e = 1 % modulus, base % modulus, exponent
         while e:
             if e & 1:
                 result = self.modmul(result, acc, modulus)
@@ -98,26 +91,6 @@ def modexp_op_count(exponent: int) -> int:
     if exponent == 0:
         return 0
     return bin(exponent).count("1") + exponent.bit_length() - 1
-
-
-def modexp_state(
-    products: Iterable[int], base: int, exponent: int, modulus: int
-) -> Tuple[int, int, int]:
-    """The ``(result, acc, e)`` state of :meth:`BigIntALU.modexp_from` after ``products``.
-
-    ``products`` are the unreduced ``bigmul`` products of a prefix of one
-    ``modexp(base, exponent, modulus)``.  Each op either multiplied into
-    ``result`` (``e`` odd, low bit cleared) or squared ``acc`` (``e``
-    even, shifted), so the state follows without redoing any
-    multiplication.
-    """
-    result, acc, e = 1, base, exponent
-    for product in products:
-        if e & 1:
-            result, e = product, e ^ 1
-        else:
-            acc, e = product, e >> 1
-    return result % modulus, acc % modulus, e
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,67 @@ class TestSuffixReplay:
                 replay_with_fault(KEY, MESSAGE, op_index, corruptor("zero"))
                 == trace.golden_signature
             )
+
+
+class TestClosedFormReplay:
+    """The per-trace state table and the work one replay does."""
+
+    def test_replay_issues_at_most_three_bigmuls(self, trace, monkeypatch):
+        counts = []
+
+        class CountingALU(ReplayALU):
+            def bigmul(self, lhs, rhs):
+                counts[-1] += 1
+                return super().bigmul(lhs, rhs)
+
+        monkeypatch.setattr(victim, "ReplayALU", CountingALU)
+        for op_index in range(trace.op_count):
+            counts.append(0)
+            replay_with_fault(KEY, MESSAGE, op_index, corruptor("flip:0"))
+        # The faulted op plus the two Garner ops; a recombination fault
+        # issues only the two Garner ops.
+        assert max(counts) == 3
+        assert counts[-2:] == [2, 2]
+
+    def test_states_reproduce_traced_operands(self, trace):
+        n_sp = modexp_op_count(KEY.dp)
+        assert len(trace.states) == n_sp + modexp_op_count(KEY.dq)
+        m = MESSAGE % KEY.n
+        for i, (result, acc, e) in enumerate(trace.states):
+            op = trace.ops[i]
+            assert (op.lhs, op.rhs) == ((result, acc) if e & 1 else (acc, acc)), i
+            # Every loop-top state finishes to the golden CRT half.
+            prime, exponent = (KEY.p, KEY.dp) if i < n_sp else (KEY.q, KEY.dq)
+            assert result * pow(acc, e, prime) % prime == pow(m, exponent, prime), i
+
+    def test_tampered_operands_rejected(self, trace):
+        # The untampered trace is accepted.
+        assert victim.loop_states(KEY, MESSAGE, trace.ops) == trace.states
+        for i in range(len(trace.states)):
+            op = trace.ops[i]
+            for tampered in (
+                dataclasses.replace(op, lhs=op.lhs + 1),
+                dataclasses.replace(op, rhs=op.rhs + 1),
+            ):
+                ops = trace.ops[:i] + (tampered,) + trace.ops[i + 1:]
+                with pytest.raises(ConfigurationError):
+                    victim.loop_states(KEY, MESSAGE, ops)
+
+    def test_matches_full_replay_at_512_bits(self):
+        key = victim_key(512, 42)
+        trace = victim.victim_trace(key, MESSAGE)
+        n_sp, n_exp = modexp_op_count(key.dp), len(trace.states)
+        # First and last op of each region, plus seeded interior ops.
+        indices = {0, n_sp - 1, n_sp, n_exp - 1, n_exp, n_exp + 1}
+        indices.update(random.Random(512).sample(range(trace.op_count), 20))
+        models = DEFAULT_FAULT_MODELS + (f"flip:{key.n.bit_length() + 3}",)
+        signer = RSACRTSigner(key)
+        for op_index in sorted(indices):
+            for model in models:
+                fault = corruptor(model)
+                assert replay_with_fault(key, MESSAGE, op_index, fault) == signer.sign(
+                    ReplayALU(op_index, fault), MESSAGE
+                ), (op_index, model)
 
 
 class TestFaultModels:
