@@ -600,18 +600,20 @@ class ExplorePointJob(JobSpec):
 
 @dataclass(frozen=True)
 class ExploreInjectionJob(JobSpec):
-    """A shard of single-fault replays of the RSA-CRT victim.
+    """A shard of single-fault verdicts on the RSA-CRT victim.
 
     Pure arithmetic: the key and golden trace follow deterministically
     from the spec (the FuzzJob pattern — the spec stays tiny, the
-    fingerprint still covers the whole replay) and are regenerated once
-    per map in each process, then shared by every shard of that map it
-    runs.  Each (op_index, model) representative replays the signature
-    with exactly that operation corrupted — one faulted op, one builtin
-    ``pow`` for the rest of its exponentiation, two Garner ops — and the
-    verdict is one of ``masked`` (the signature survived), ``exploitable``
-    (Bellcore factoring recovered the key's primes) or ``corrupted``
-    (wrong but unexploitable).
+    fingerprint still covers the whole computation) and are regenerated
+    once per map in each process, then shared by every shard of that map
+    it runs.  Each (op_index, model) representative gets the verdict of
+    the signature with exactly that operation corrupted: ``masked`` (the
+    signature survived), ``exploitable`` (Bellcore factoring recovers the
+    key's primes) or ``corrupted`` (wrong but unexploitable).
+    :func:`~repro.explore.victim.injection_verdict` decides exponentiation
+    ops from the trace's loop state and replays only the Garner ops and
+    zero states; the ``explore.verdicts.closed_form`` and
+    ``explore.verdicts.replayed`` counters split the reps between the two.
     """
 
     kind: ClassVar[str] = "explore-injection"
@@ -619,7 +621,7 @@ class ExploreInjectionJob(JobSpec):
     key_bits: int
     key_seed: int
     message: int
-    #: (op_index, fault_model) representatives to replay.
+    #: (op_index, fault_model) representatives to decide.
     reps: Tuple[Tuple[int, str], ...]
     seed: int = 0
 
@@ -628,30 +630,27 @@ class ExploreInjectionJob(JobSpec):
         return ("explore", "inject", f"reps@{first[0]}/{first[1]}")
 
     def run(self, telemetry: Telemetry) -> List[Dict[str, Any]]:
-        from repro.attacks.rsa_crt import bellcore_extract, victim_key
-        from repro.explore.faultspace import corruptor
-        from repro.explore.victim import replay_with_fault, victim_trace
+        from repro.attacks.rsa_crt import victim_key
+        from repro.explore.victim import (
+            decided_in_closed_form,
+            injection_verdict,
+            victim_trace,
+        )
 
-        key = victim_key(self.key_bits, self.key_seed)
-        trace = victim_trace(key, self.message)
+        trace = victim_trace(victim_key(self.key_bits, self.key_seed), self.message)
+        closed_form = telemetry.registry.counter("explore.verdicts.closed_form")
+        replayed = telemetry.registry.counter("explore.verdicts.replayed")
         verdicts: List[Dict[str, Any]] = []
         for op_index, model in self.reps:
-            signature = replay_with_fault(
-                key, self.message, op_index, corruptor(model)
-            )
-            if signature == trace.golden_signature:
-                verdict = "masked"
+            if decided_in_closed_form(trace, op_index):
+                closed_form.inc()
             else:
-                result = bellcore_extract(key.n, key.e, self.message, signature)
-                if result is not None and result.factors() == tuple(
-                    sorted((key.p, key.q))
-                ):
-                    verdict = "exploitable"
-                else:
-                    verdict = "corrupted"
-            verdicts.append(
-                {"op_index": op_index, "model": model, "verdict": verdict}
-            )
+                replayed.inc()
+            verdicts.append({
+                "op_index": op_index,
+                "model": model,
+                "verdict": injection_verdict(trace, op_index, model),
+            })
         return verdicts
 
 

@@ -13,7 +13,8 @@ zero: coverage, not anecdote.
 Layout:
 
 * :mod:`repro.explore.victim` — tracing/replaying ALUs sharing the
-  attack path's ``BigIntALU`` op sequence;
+  attack path's ``BigIntALU`` op sequence, and the injection verdicts
+  (closed form for exponentiation ops, replay for the rest);
 * :mod:`repro.explore.faultspace` — the deterministic fault-model
   catalog (``flip:<b>``, ``trunc64``, ``zero``);
 * :mod:`repro.explore.plan` — frozen plans and the three pruning tiers

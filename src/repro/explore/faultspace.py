@@ -35,12 +35,19 @@ def corruptor(model: str) -> Callable[[int], int]:
     if model == "trunc64":
         return lambda value: value & _MASK64
     if model.startswith("flip:"):
+        arg = model.split(":", 1)[1]
         try:
-            bit = int(model.split(":", 1)[1])
+            bit = int(arg)
         except ValueError:
             raise ConfigurationError(f"malformed fault model {model!r}") from None
         if bit < 0:
             raise ConfigurationError(f"fault model {model!r}: bit must be >= 0")
+        # One spelling per model: flip:03 or flip:+3 would let a plan
+        # list flip:3 twice and double its share of the injection axis.
+        if arg != str(bit):
+            raise ConfigurationError(
+                f"fault model {model!r}: write the bit as flip:{bit}"
+            )
         return lambda value: value ^ (1 << bit)
     raise ConfigurationError(
         f"unknown fault model {model!r}; expected flip:<bit>, trunc64 or zero"

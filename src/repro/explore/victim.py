@@ -28,16 +28,25 @@ process memoizes them (:func:`~repro.attacks.rsa_crt.victim_key`,
 immutable trace.  The trace holds the ``modexp`` loop state before each
 exponentiation op, so :func:`replay_with_fault` costs one faulted op,
 one exact builtin ``pow`` and the two Garner ops.
+
+:func:`injection_verdict` decides most faults without even that: a
+fault in an ``sp``/``sq`` op of a consistent CRT key is ``exploitable``
+exactly when it changes its half, and whether it does follows from the
+op's loop state in one comparison (multiply) or two tiny ``pow`` calls
+(squaring).  The Garner ops and zero states go through
+:func:`replay_verdict`, the replay-and-Bellcore oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, victim_key
+from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, bellcore_extract, victim_key
 from repro.errors import ConfigurationError
+from repro.explore.faultspace import corruptor
 from repro.faults.alu import BigIntALU, modexp_op_count
 
 #: Region labels in trace order.
@@ -141,6 +150,24 @@ class VictimTrace:
         for op in self.ops:
             sizes[op.region] = sizes.get(op.region, 0) + 1
         return sizes
+
+    @functools.cached_property
+    def key_consistent(self) -> bool:
+        """Whether ``dp``/``dq`` invert ``e`` and Garner recombines to ``n``.
+
+        Then ``x -> x^e`` is a bijection mod each prime that the signer's
+        half exponent undoes (so ``gcd(e, p-1) = gcd(e, q-1) = 1``), and
+        the signature's residue mod each prime is that prime's half: the
+        premises of :func:`injection_verdict`'s closed form.  Keys from
+        :meth:`~repro.attacks.rsa_crt.RSAKey.generate` always are.
+        """
+        key = self.key
+        return (
+            key.n == key.p * key.q
+            and key.e * key.dp % (key.p - 1) == 1
+            and key.e * key.dq % (key.q - 1) == 1
+            and key.q * key.qinv % key.p == 1
+        )
 
     def consumed_modulus(self, op: TracedOp) -> int:
         """The modulus the op's product is effectively consumed under.
@@ -258,3 +285,64 @@ def replay_with_fault(
         else:  # square: result * (acc * acc)**(e / 2)
             halves[half] = result * pow(alu.modmul(acc, acc, prime), e >> 1, prime) % prime
     return RSACRTSigner(key).recombine(alu, *halves)
+
+
+def replay_verdict(trace: VictimTrace, op_index: int, corrupt: Callable[[int], int]) -> str:
+    """The oracle verdict: replay the signature, then try Bellcore on it.
+
+    ``masked`` if the signature survived, ``exploitable`` if Bellcore
+    factoring recovers the key's primes, else ``corrupted``.
+    """
+    key = trace.key
+    signature = replay_with_fault(key, trace.message, op_index, corrupt)
+    if signature == trace.golden_signature:
+        return "masked"
+    result = bellcore_extract(key.n, key.e, trace.message, signature)
+    if result is not None and result.factors() == tuple(sorted((key.p, key.q))):
+        return "exploitable"
+    return "corrupted"
+
+
+def decided_in_closed_form(trace: VictimTrace, op_index: int) -> bool:
+    """Whether :func:`injection_verdict` decides this op without a replay.
+
+    True for an ``sp``/``sq`` op of a consistent key whose loop state has
+    no zero residue; the two Garner ops are always replayed.
+    """
+    if not (0 <= op_index < len(trace.states) and trace.key_consistent):
+        return False
+    result, acc, _ = trace.states[op_index]
+    return result != 0 and acc != 0  # states are reduced mod their prime
+
+
+def injection_verdict(trace: VictimTrace, op_index: int, model: str) -> str:
+    """The verdict of corrupting op ``op_index`` with fault ``model``.
+
+    Equal to :func:`replay_verdict`.  For an exponentiation op it follows
+    from the loop state ``(r, a, e)`` before the op, on the half's prime
+    ``p``:
+
+    * The other half is untouched and ``x -> x^e_pub`` is a bijection mod
+      ``p``, so Bellcore recovers the factors whenever this half changes:
+      the verdict is never ``corrupted``.
+    * Multiply: the half is ``r' * a^(e-1)`` with ``a`` invertible, so it
+      changes iff ``r' = corrupt(r*a)`` differs from ``r*a`` mod ``p``.
+    * Squaring: the half is ``r * a'^k`` with ``k = e >> 1`` and ``r``
+      invertible.  ``a'^k = (a^2)^k`` iff ``x^k = 1`` for
+      ``x = a' / a^2``, and by Bezout and Fermat iff
+      ``x^gcd(k, p-1) = 1``, i.e. iff ``a'^g = (a^2)^g`` with that ``g``.
+
+    Everything else — Garner ops, zero states, inconsistent keys — is
+    replayed (see :func:`decided_in_closed_form`).
+    """
+    corrupt = corruptor(model)
+    if not decided_in_closed_form(trace, op_index):
+        return replay_verdict(trace, op_index, corrupt)
+    op = trace.ops[op_index]
+    prime = op.reduce_mod
+    golden, faulted = op.product % prime, corrupt(op.product) % prime
+    e = trace.states[op_index][2]
+    if not e & 1:
+        g = math.gcd(e >> 1, prime - 1)
+        golden, faulted = pow(golden, g, prime), pow(faulted, g, prime)
+    return "masked" if faulted == golden else "exploitable"

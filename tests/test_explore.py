@@ -15,12 +15,13 @@ Three contracts matter here:
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, bellcore_extract, victim_key
@@ -51,7 +52,12 @@ from repro.explore import (
     trace_victim,
 )
 from repro.explore import victim
-from repro.explore.victim import clear_victim_memo
+from repro.explore.victim import (
+    clear_victim_memo,
+    decided_in_closed_form,
+    injection_verdict,
+    replay_verdict,
+)
 from repro.telemetry import NULL_TELEMETRY
 
 KEY = RSAKey.generate(128, seed=42)
@@ -207,6 +213,85 @@ class TestClosedFormReplay:
                 ), (op_index, model)
 
 
+class TestClosedFormVerdicts:
+    """``injection_verdict`` against its oracle, ``replay_verdict``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bits=st.sampled_from((128, 256, 512)),
+        key_seed=st.integers(min_value=0, max_value=1 << 16),
+        message=st.integers(min_value=0, max_value=1 << 512),
+        zero_half=st.sampled_from(("", "p", "q")),
+        e_shares_factor=st.booleans(),
+        picks=st.tuples(st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
+        flips=st.lists(st.integers(min_value=0, max_value=1100), max_size=3, unique=True),
+    )
+    # A message divisible by p puts zero residues in every sp state.
+    @example(bits=128, key_seed=42, message=0, zero_half="p",
+             e_shares_factor=False, picks=(3, 3), flips=[5])
+    # An e sharing the factor 2 with p-1: no half-change is exploitable.
+    @example(bits=128, key_seed=42, message=MESSAGE, zero_half="",
+             e_shares_factor=True, picks=(3, 3), flips=[5])
+    def test_matches_oracle(
+        self, bits, key_seed, message, zero_half, e_shares_factor, picks, flips
+    ):
+        key = victim_key(bits, key_seed)
+        if zero_half:
+            message = getattr(key, zero_half) * (message % (1 << 32) + 1)
+        if e_shares_factor:
+            key = dataclasses.replace(key, e=2 * key.e)
+        trace = victim.victim_trace(key, message)
+        n_sp, n_exp = modexp_op_count(key.dp), len(trace.states)
+        # One op from each exponentiation, then both Garner ops.
+        ops = (picks[0] % n_sp, n_sp + picks[1] % (n_exp - n_sp), n_exp, n_exp + 1)
+        assert [trace.ops[i].region for i in ops] == [
+            "sp", "sq", "recombine-h", "recombine-mul"
+        ]
+        # flip bits up to 1100 land above n for every key size drawn.
+        models = DEFAULT_FAULT_MODELS + tuple(f"flip:{bit}" for bit in flips)
+        for op_index in ops:
+            for model in models:
+                assert injection_verdict(trace, op_index, model) == replay_verdict(
+                    trace, op_index, corruptor(model)
+                ), (op_index, model)
+
+    def test_every_class_rep_at_512_bits(self):
+        trace = victim.victim_trace(victim_key(512, 42), MESSAGE)
+        plan = enumerate_injections(trace, DEFAULT_FAULT_MODELS)
+        for cls in plan.classes:
+            rep = (cls.op_index, cls.members[0])
+            assert injection_verdict(trace, *rep) == replay_verdict(
+                trace, cls.op_index, corruptor(cls.members[0])
+            ), rep
+
+    def test_squaring_check_raises_to_the_gcd_not_k(self, monkeypatch):
+        # x^k = 1 iff x^gcd(k, p-1) = 1; k runs to ~255 bits here, and
+        # the gcd is what keeps a closed-form verdict cheap.
+        trace = victim.victim_trace(victim_key(512, 42), MESSAGE)
+        exponents = []
+
+        def recording_pow(base, exponent, *modulus):
+            exponents.append(exponent)
+            return builtins.pow(base, exponent, *modulus)
+
+        monkeypatch.setattr(victim, "pow", recording_pow, raising=False)
+        for op_index in range(len(trace.states)):
+            assert decided_in_closed_form(trace, op_index)
+            for model in DEFAULT_FAULT_MODELS:
+                injection_verdict(trace, op_index, model)
+        assert exponents and max(exponents) < 1 << 16
+
+    def test_map_replays_only_the_garner_reps(self):
+        plan = dataclasses.replace(PLAN, key_bits=512)
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache(), registry=None)
+        document = run_explore(plan, session=session)
+        counters = session.counters()
+        closed_form = counters.get("explore.verdicts.closed_form", 0)
+        replayed = counters.get("explore.verdicts.replayed", 0)
+        assert 0 < replayed <= 2 * len(plan.fault_models)
+        assert closed_form + replayed == document["stats"]["injections_simulated"]
+
+
 class TestFaultModels:
     def test_catalog(self):
         assert corrupt("flip:3", 0b1) == 0b1001
@@ -217,6 +302,13 @@ class TestFaultModels:
         for name in ("flip:x", "flip:-1", "mystery"):
             with pytest.raises(ConfigurationError):
                 corruptor(name)
+
+    def test_one_spelling_per_flip_model(self):
+        for name in ("flip:03", "flip:+3", "flip: 3", "flip:3 ", "flip:-0"):
+            with pytest.raises(ConfigurationError):
+                corruptor(name)
+        with pytest.raises(ConfigurationError):
+            ExplorePlan("Sky Lake", (2.0,), (-100,), fault_models=("flip:3", "flip:03"))
 
     def test_plan_rejects_duplicates_and_empty(self):
         with pytest.raises(ConfigurationError):
